@@ -5,41 +5,44 @@ Two phases, both with enforced acceptance bars (the script exits
 nonzero when any bar fails, so CI can run it directly):
 
 **Phase A — warm restore microbenchmark.**  The same multi-library app
-is published into a legacy v2 JSON store (eager composed restores) and
-a v3 binary store (mmap-backed lazy restores), then warm-restored and
-queried with a single-group needle.  Bars:
+is published into a store, then warm-restored and queried with a
+single-group needle two ways: lazily (mmap-backed, decoding only the
+group the needle touches) and eagerly (the same restore followed by
+``LazyTokenIndex.materialize()``, the full composition the program
+still performs when a caller needs every group).  Bars:
 
-* lazy v3 restore+query is **>= 2x faster** than the eager v2 path;
+* lazy restore+query is **>= 2x faster** than the eager path;
 * the subset query **decodes strictly fewer bytes** than it maps
   (``bytes_decoded < bytes_mapped``), i.e. untouched groups stay raw.
 
-**Phase B — sustained HTTP traffic, threaded vs async stacks.**  A
-pre-warmed corpus plus a trickle of cold submissions is pushed over
-HTTP (keep-alive) through *both* service stacks until saturation:
+**Phase B — sustained HTTP traffic, in-process vs process cold lane.**
+A pre-warmed corpus plus a trickle of cold submissions is pushed over
+HTTP (keep-alive) through the asyncio ``AnalysisServer`` until
+saturation, twice:
 
-* the **threaded baseline** — ``ThreadedAnalysisServer`` over an
-  all-in-process scheduler (``cold_executor="thread"``): warm restores
-  share the GIL with cold disassembly/index folds;
-* the **async stack** — the asyncio ``AnalysisServer`` over a
-  process-isolated cold lane (``cold_executor="process"``): the service
+* the **in-process baseline** — ``cold_executor="thread"`` (what
+  ``backdroid serve --cold-workers 0`` runs): warm restores share the
+  GIL with cold disassembly/index folds;
+* the **process cold lane** — ``cold_executor="process"``: the service
   interpreter only runs the event loop and warm mmap-backed restores.
 
-Each stack gets its own store directory and its own pre-warm, so cold
+Both runs share the transport, so the comparison isolates the GIL.
+Each run gets its own store directory and its own pre-warm, so cold
 submissions in one run never warm the other.  Bars (enforced on the
-async stack; the threaded run is the comparison baseline):
+process cold lane; the in-process run is the comparison baseline):
 
 * p99 warm **service time** (queue wait excluded — turnaround at
   saturation is dominated by queue depth; measured over steady-state
   warm jobs, i.e. those started after the submission burst, for both
-  stacks alike) beats the mean **cold turnaround**: even the worst
+  runs alike) beats the mean **cold turnaround**: even the worst
   warm job finishes its work before an average cold submission gets
   through the system;
 * submission ingest sustains **>= 100 submissions/sec** over HTTP —
   probes are stat-only, so enqueueing must never parse shard payloads;
 * warm p99 service time under the saturating cold load is **>= 2x
-  better** on the async stack than the threaded baseline — the
+  better** with the process cold lane than in-process — the
   GIL-isolation payoff, measured end to end;
-* **telemetry overhead**: a third async run with tracing and the
+* **telemetry overhead**: a third process-lane run with tracing and the
   metrics registry disabled; warm p99 service time with telemetry ON
   must stay within 5% (plus a 1ms timer-resolution grace) of the
   disabled run.
@@ -72,11 +75,7 @@ for _p in (str(_ROOT), str(_ROOT / "src")):
 from benchmarks.conftest import emit_table, render_table  # noqa: E402
 from repro.core import BackDroidConfig, analyze_spec  # noqa: E402
 from repro.search.backends.indexed import TokenIndex  # noqa: E402
-from repro.service import (  # noqa: E402
-    AnalysisServer,
-    StoreAwareScheduler,
-    ThreadedAnalysisServer,
-)
+from repro.service import AnalysisServer, StoreAwareScheduler  # noqa: E402
 from repro.store import ArtifactStore  # noqa: E402
 from repro.workload.corpus import benchmark_app_spec  # noqa: E402
 from repro.workload.generator import (  # noqa: E402
@@ -85,11 +84,11 @@ from repro.workload.generator import (  # noqa: E402
     generate_app,
 )
 
-#: Warm-restore speedup bar (v3 lazy vs v2 eager JSON).
+#: Warm-restore speedup bar (lazy vs lazy + full materialization).
 RESTORE_SPEEDUP_BAR = 2.0
 #: Submission ingest bar: probes are stat-only, enqueue must be cheap.
 INGEST_BAR = 100.0
-#: Warm-p99 isolation bar: async + process cold lane vs threaded + GIL.
+#: Warm-p99 isolation bar: process cold lane vs in-process (GIL-shared).
 WARM_ISOLATION_BAR = 2.0
 #: Telemetry overhead bar: warm p99 service time with tracing+metrics
 #: ON must land within this factor of the disabled run.
@@ -121,12 +120,15 @@ def _needle(index: TokenIndex) -> str:
                 if t.startswith("Lorg/bench1/") and t.endswith(";"))
 
 
-def _time_warm_restores(store, disassembly, needle, repeats):
-    """Best-of-N warm restore + single-group query, in seconds."""
+def _time_warm_restores(store, disassembly, needle, repeats, eager):
+    """Best-of-N warm restore (+ full materialization when ``eager``)
+    and single-group query, in seconds."""
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
         index = store.load_index(disassembly)
+        if eager:
+            index.materialize()
         index.token_lines(needle)
         best = min(best, time.perf_counter() - started)
         assert index is not None and index.restored
@@ -141,26 +143,25 @@ def run_restore_comparison(root: str, smoke: bool) -> dict:
     needle = _needle(fresh)
     expected = fresh.token_lines(needle)
 
-    timings = {}
-    for fmt in ("json", "binary"):
-        store = ArtifactStore(Path(root) / f"restore-{fmt}",
-                              shard_format=fmt)
-        store.save_index(apk.disassembly, fresh)
-        timings[fmt] = _time_warm_restores(
-            store, apk.disassembly, needle, repeats
-        )
-        if fmt == "binary":
-            lazy = store.load_index(apk.disassembly)
-            assert getattr(lazy, "lazy", False), \
-                "binary warm restore must take the lazy path"
-            assert lazy.token_lines(needle) == expected
-            decoded, mapped = lazy.bytes_decoded, lazy.bytes_mapped
-            groups = (lazy.materialized_groups, lazy.groups_total)
+    store = ArtifactStore(Path(root) / "restore")
+    store.save_index(apk.disassembly, fresh)
+    eager_s = _time_warm_restores(
+        store, apk.disassembly, needle, repeats, eager=True
+    )
+    lazy_s = _time_warm_restores(
+        store, apk.disassembly, needle, repeats, eager=False
+    )
+    lazy = store.load_index(apk.disassembly)
+    assert getattr(lazy, "lazy", False), \
+        "warm restore must take the lazy path"
+    assert lazy.token_lines(needle) == expected
+    decoded, mapped = lazy.bytes_decoded, lazy.bytes_mapped
+    groups = (lazy.materialized_groups, lazy.groups_total)
 
-    speedup = timings["json"] / timings["binary"]
+    speedup = eager_s / lazy_s
     return {
-        "eager_s": timings["json"],
-        "lazy_s": timings["binary"],
+        "eager_s": eager_s,
+        "lazy_s": lazy_s,
         "speedup": speedup,
         "bytes_decoded": decoded,
         "bytes_mapped": mapped,
@@ -169,18 +170,11 @@ def run_restore_comparison(root: str, smoke: bool) -> dict:
 
 
 # ======================================================================
-# Phase B — sustained HTTP traffic through both service stacks
+# Phase B — sustained HTTP traffic, in-process vs process cold lane
 # ======================================================================
 
-STACKS = {
-    # stack name -> (server class, cold executor)
-    "threaded": (ThreadedAnalysisServer, "thread"),
-    "async": (AnalysisServer, "process"),
-}
-
-
 def run_sustained_traffic(
-    root: str, smoke: bool, stack: str, telemetry: bool = True
+    root: str, smoke: bool, cold_executor: str, telemetry: bool = True
 ) -> dict:
     corpus = 3 if smoke else 8
     n_jobs = 30 if smoke else 600
@@ -190,11 +184,10 @@ def run_sustained_traffic(
     # latency under a *saturating* cold load, so the cold lane must
     # stay busy for the whole warm stream.
     cold_scale = 0.3 if smoke else 0.4
-    server_cls, cold_executor = STACKS[stack]
     # Per-variant store: cold submissions warm the store as they
     # finish, so a shared directory would hand a later run a warmer
     # corpus.
-    variant = stack if telemetry else f"{stack}-notelemetry"
+    variant = cold_executor if telemetry else f"{cold_executor}-notelemetry"
     store_dir = str(Path(root) / f"service-store-{variant}")
     config = BackDroidConfig(
         search_backend="indexed", store_dir=store_dir, store_mode="full"
@@ -212,7 +205,7 @@ def run_sustained_traffic(
         tracing_enabled=telemetry,
         enable_metrics=telemetry,
     )
-    with server_cls(scheduler, port=0) as server:
+    with AnalysisServer(scheduler, port=0) as server:
         host, port = server.address
         # One keep-alive connection: the ingest bar measures the
         # service's submission path, not TCP handshakes.
@@ -242,8 +235,8 @@ def run_sustained_traffic(
             jobs.append(scheduler.queue.get(body["id"]))
         submitted = time.perf_counter() - started
         # Steady-state cutoff: while the submission burst is being
-        # parsed, handler threads GIL-compete with the warm lane in
-        # *both* stacks, adding the same latency to each.  The warm
+        # parsed, router threads GIL-compete with the warm lane in
+        # *both* runs, adding the same latency to each.  The warm
         # bars compare jobs started after the burst, when the only
         # remaining contention is the one under test: the saturated
         # cold lane (threads vs nice'd processes).
@@ -277,7 +270,7 @@ def run_sustained_traffic(
     if len(steady) < 10:  # tiny smoke corpus: keep every sample
         steady = warm
     return {
-        "stack": stack,
+        "cold_executor": cold_executor,
         "jobs": n_jobs,
         "warm": len(warm),
         "cold": len(cold),
@@ -311,48 +304,49 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bdtraffic-") as root:
         restore = run_restore_comparison(root, args.smoke)
-        threaded = run_sustained_traffic(root, args.smoke, "threaded")
-        traffic = run_sustained_traffic(root, args.smoke, "async")
-        # Telemetry overhead: the same async stack with tracing and
-        # the metrics registry disabled.  The default-on run above is
-        # the "on" sample.
+        in_process = run_sustained_traffic(root, args.smoke, "thread")
+        traffic = run_sustained_traffic(root, args.smoke, "process")
+        # Telemetry overhead: the same process-lane run with tracing
+        # and the metrics registry disabled.  The default-on run above
+        # is the "on" sample.
         no_telemetry = run_sustained_traffic(
-            root, args.smoke, "async", telemetry=False
+            root, args.smoke, "process", telemetry=False
         )
 
     isolation = (
-        threaded["p99_warm_service"] / traffic["p99_warm_service"]
+        in_process["p99_warm_service"] / traffic["p99_warm_service"]
         if traffic["p99_warm_service"] > 0
         else float("inf")
     )
     touched, total = restore["groups"]
     rows = [
-        ["warm restore, v2 eager JSON", f"{restore['eager_s'] * 1e3:.2f}ms"],
-        ["warm restore, v3 lazy mmap", f"{restore['lazy_s'] * 1e3:.2f}ms"],
+        ["warm restore, eager (lazy + materialize)",
+         f"{restore['eager_s'] * 1e3:.2f}ms"],
+        ["warm restore, lazy mmap", f"{restore['lazy_s'] * 1e3:.2f}ms"],
         ["restore speedup", f"{restore['speedup']:.1f}x"],
         ["groups touched / total", f"{touched} / {total}"],
         ["bytes decoded / mapped",
          f"{restore['bytes_decoded']} / {restore['bytes_mapped']}"],
-        ["jobs per stack (warm + cold)",
+        ["jobs per run (warm + cold)",
          f"{traffic['jobs']} ({traffic['warm']} + {traffic['cold']})"],
-        ["steady-state warm samples (threaded / async)",
-         f"{threaded['steady_warm']} / {traffic['steady_warm']}"],
-        ["warm service p99, threaded+GIL",
-         f"{threaded['p99_warm_service'] * 1e3:.1f}ms"],
-        ["warm service p99, async+process",
+        ["steady-state warm samples (in-process / process)",
+         f"{in_process['steady_warm']} / {traffic['steady_warm']}"],
+        ["warm service p99, in-process cold lane",
+         f"{in_process['p99_warm_service'] * 1e3:.1f}ms"],
+        ["warm service p99, process cold lane",
          f"{traffic['p99_warm_service'] * 1e3:.1f}ms"],
         ["warm p99 isolation gain", f"{isolation:.1f}x"],
-        ["warm turnaround p50 / p99 (async)",
+        ["warm turnaround p50 / p99 (process)",
          f"{traffic['p50_warm'] * 1e3:.1f}ms / "
          f"{traffic['p99_warm'] * 1e3:.1f}ms"],
-        ["cold turnaround / service mean (async)",
+        ["cold turnaround / service mean (process)",
          f"{traffic['mean_cold'] * 1e3:.1f}ms / "
          f"{traffic['mean_cold_service'] * 1e3:.1f}ms"],
-        ["submission ingest (async, HTTP)",
+        ["submission ingest (process, HTTP)",
          f"{traffic['ingest_rate']:.0f}/s"],
-        ["drain throughput (async)",
+        ["drain throughput (process)",
          f"{traffic['drain_rate']:.1f} jobs/s"],
-        ["event-loop lag p99 (async)",
+        ["event-loop lag p99 (process)",
          f"{traffic['loop_lag_p99'] * 1e3:.2f}ms"
          if traffic["loop_lag_p99"] is not None else "n/a"],
         ["warm service p99, telemetry on / off",
@@ -362,7 +356,7 @@ def main(argv=None) -> int:
     emit_table(
         "sustained_traffic",
         render_table(
-            "Sustained HTTP traffic: threaded+GIL vs async+process cold lane"
+            "Sustained HTTP traffic: in-process vs process cold lane"
             + (" (smoke)" if args.smoke else ""),
             ["Metric", "Value"],
             rows,
@@ -398,8 +392,8 @@ def main(argv=None) -> int:
         ),
         (
             isolation >= WARM_ISOLATION_BAR,
-            f"warm p99 service {isolation:.2f}x better on async+process "
-            f"({threaded['p99_warm_service'] * 1e3:.1f}ms -> "
+            f"warm p99 service {isolation:.2f}x better with the process "
+            f"cold lane ({in_process['p99_warm_service'] * 1e3:.1f}ms -> "
             f"{traffic['p99_warm_service'] * 1e3:.1f}ms; "
             f"bar: >= {WARM_ISOLATION_BAR:.1f}x)",
         ),

@@ -19,7 +19,6 @@ Commands::
     backdroid store warm bench:0..50 --store .bdstore
     backdroid store stats --store .bdstore
     backdroid store verify --store .bdstore
-    backdroid store migrate --store .bdstore
     backdroid store gc --store .bdstore --max-age-hours 48
     backdroid serve --port 8099 --store .bdstore --cold-workers 4 --fast-lane-workers 1
     backdroid inventory bench:3
@@ -243,9 +242,7 @@ def cmd_batch(args) -> int:
 def _require_store(args) -> ArtifactStore:
     if not args.store:
         raise SystemExit("a store directory is required: pass --store DIR")
-    return ArtifactStore(
-        args.store, shard_format=getattr(args, "shard_format", "binary")
-    )
+    return ArtifactStore(args.store)
 
 
 def cmd_store(args) -> int:
@@ -280,26 +277,12 @@ def cmd_store(args) -> int:
         if args.max_age_hours < 0:
             raise SystemExit("--max-age-hours must be >= 0")
         result = store.gc(args.max_age_hours * 3600.0)
-        migrated = (
-            f", migrated {result.shards_migrated} legacy shard(s)"
-            if result.shards_migrated
-            else ""
-        )
         print(
             f"removed {result.entries_removed} entry(ies) and "
             f"{result.shards_removed} unreferenced shard(s), "
-            f"reclaimed {result.bytes_reclaimed} bytes{migrated}"
-        )
-        return 0
-
-    if args.action == "migrate":
-        result = _require_store(args).migrate()
-        print(
-            f"migrated {result.shards_migrated} legacy JSON shard(s) to "
-            f"the binary container, {result.shards_failed} failure(s), "
             f"reclaimed {result.bytes_reclaimed} bytes"
         )
-        return 1 if result.shards_failed else 0
+        return 0
 
     # warm: prebuild artifacts so later runs start hot.  "index" mode
     # builds and persists each app's inverted index; "full" mode runs
@@ -334,14 +317,6 @@ def cmd_store(args) -> int:
                 spec_fingerprint(spec), store_key(apk.disassembly)
             )
             warmed += 1
-    if store.shard_format == "binary":
-        # Warming an older store is the natural moment to finish its
-        # v2 -> v3 conversion: everything it still holds as legacy
-        # JSON becomes mmap-able.
-        migrated = store.migrate()
-        if migrated.shards_migrated:
-            print(f"migrated {migrated.shards_migrated} legacy JSON "
-                  "shard(s) to the binary container")
     print(f"warmed {warmed}/{len(specs)} app(s) into {args.store} "
           f"(mode: {args.store_mode})")
     return 0
@@ -354,16 +329,10 @@ def build_server(args):
     (default: ``--workers``): the service runs cold analyses out of
     process so warm restores never share the GIL with disassembly and
     index folds.  ``--cold-workers 0`` keeps cold analyses in-process
-    (thread pool), the embedding-style fallback.  ``--loop`` picks the
-    HTTP front end: the asyncio event loop (default) or the legacy
-    thread-per-connection server.
+    (thread pool), the embedding-style fallback.
     """
     # Imported lazily: the service layer is only needed by ``serve``.
-    from repro.service import (
-        AnalysisServer,
-        StoreAwareScheduler,
-        ThreadedAnalysisServer,
-    )
+    from repro.service import AnalysisServer, StoreAwareScheduler
 
     if args.workers < 1:
         raise SystemExit("--workers must be a positive integer")
@@ -396,12 +365,7 @@ def build_server(args):
         enable_metrics=not getattr(args, "no_metrics", False),
         node_id=getattr(args, "node_id", None),
     )
-    server_cls = (
-        ThreadedAnalysisServer
-        if getattr(args, "loop", "asyncio") == "threaded"
-        else AnalysisServer
-    )
-    return server_cls(scheduler, host=args.host, port=args.port)
+    return AnalysisServer(scheduler, host=args.host, port=args.port)
 
 
 def _serve_front_end(args) -> int:
@@ -499,8 +463,7 @@ def cmd_serve(args) -> int:
         if scheduler.cold_executor == "process"
         else f"{scheduler.lanes['main'].workers} in-process cold worker(s)"
     )
-    print(f"backdroid service listening on http://{host}:{port} "
-          f"({args.loop} front end)")
+    print(f"backdroid service listening on http://{host}:{port}")
     print(f"  {cold_note}, {store_note}")
     if node is not None:
         print(f"  cluster node {node_id} (lease ttl {args.lease_ttl:g}s, "
@@ -650,10 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--session-cache", type=int, default=4,
                        help="warm per-app sessions kept resident "
                        "(default: 4; 0 disables the session cache)")
-    serve.add_argument("--loop", choices=("asyncio", "threaded"),
-                       default="asyncio",
-                       help="HTTP front end: asyncio event loop (default) "
-                       "or thread-per-connection")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        help="seconds to let in-flight jobs finish on "
                        "SIGTERM/SIGINT before abandoning them (default: 30)")
@@ -708,12 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--scale", type=float, default=1.0,
                       help="bulk-code scale factor (default: 1.0)")
     warm.add_argument("--rules", default="")
-    warm.add_argument(
-        "--shard-format", choices=ArtifactStore.SHARD_FORMATS,
-        default="binary",
-        help="shard container to publish (json emulates a v2-era "
-        "writer, e.g. to seed a migration test; default: binary)",
-    )
     add_store_flags(warm)
     warm.set_defaults(func=cmd_store)
 
@@ -738,15 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         "i.e. clear everything)",
     )
     gc.set_defaults(func=cmd_store)
-
-    migrate = store_sub.add_parser(
-        "migrate",
-        help="convert legacy v2 JSON shards to the v3 binary container "
-        "in place (content addresses are container-independent, so "
-        "manifests need no rewrite)",
-    )
-    migrate.add_argument("--store", default=None, metavar="DIR")
-    migrate.set_defaults(func=cmd_store)
 
     corpus = sub.add_parser("corpus", help="sample a Table-I year corpus")
     corpus.add_argument("--year", type=int, default=2018)

@@ -25,8 +25,8 @@ would run:
   (``POST /v1/jobs`` with per-job rule/backend/budget overrides,
   ``GET /v1/jobs/<id>``, ``DELETE /v1/jobs/<id>``, ``GET /v1/stats``,
   ``GET /healthz``): the transport-agnostic :class:`ServiceAPI` router,
-  the asyncio :class:`AnalysisServer` front end, the legacy
-  :class:`ThreadedAnalysisServer` baseline, and the matching (retrying)
+  the asyncio :class:`AnalysisServer` transport (which also serves the
+  cluster front end), and the matching (retrying)
   :class:`ServiceClient`;
 * :mod:`repro.service.cluster` — multi-node sharding over one shared
   store: :class:`NodeDirectory` heartbeat gossip, the fenced
@@ -67,7 +67,6 @@ from repro.service.server import (
     AnalysisServer,
     ServiceAPI,
     ServiceClient,
-    ThreadedAnalysisServer,
 )
 from repro.service.workers import ColdResult, ProcessLane
 
@@ -97,6 +96,5 @@ __all__ = [
     "ServiceClient",
     "SpecmapLease",
     "StoreAwareScheduler",
-    "ThreadedAnalysisServer",
     "install_specmap_guard",
 ]

@@ -57,7 +57,7 @@ from urllib.error import URLError
 
 from repro.core.batch import probe_spec
 from repro.service.jobs import TERMINAL_STATES
-from repro.service.server import ServiceClient, _ServiceHTTPServer
+from repro.service.server import AnalysisServer, ServiceClient
 from repro.store.artifacts import ArtifactStore, set_specmap_guard
 from repro.telemetry import tracing
 from repro.telemetry.logs import get_logger
@@ -340,8 +340,9 @@ class ClusterRouter:
     """Route, forward and babysit jobs across the live nodes.
 
     Transport-compatible with :class:`ServiceAPI` (``handle(method,
-    path, body) -> (status, payload, close)``), so the stock
-    ``_ServiceHTTPServer`` serves it unchanged.
+    path, body) -> (status, payload, close)`` plus a ``draining``
+    flag), so the stock asyncio :class:`AnalysisServer` serves it
+    unchanged.
 
     Routing policy, in order:
 
@@ -839,8 +840,14 @@ class ClusterRouter:
         }
 
 
-class ClusterFrontEnd:
-    """The router behind the stock threaded HTTP transport."""
+class ClusterFrontEnd(AnalysisServer):
+    """The router behind the stock asyncio HTTP transport.
+
+    Adds only the router's own lifecycle: its failover monitor starts
+    with the listener and stops after it.  :meth:`drain` turns new
+    submissions away (503) and returns at once; the nodes finish
+    their own in-flight work.
+    """
 
     def __init__(
         self,
@@ -848,43 +855,16 @@ class ClusterFrontEnd:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host=host, port=port, router=router)
         self.router = router
-        self._http = _ServiceHTTPServer((host, port), router)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> tuple:
-        return self._http.server_address[0], self._http.server_address[1]
 
     def start(self) -> "ClusterFrontEnd":
-        if self._thread is not None:
-            raise RuntimeError("front end already started")
         self.router.start()
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="backdroid-front-end",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
+        return super().start()
 
-    def drain(self) -> None:
-        self.router.draining = True
-
-    def shutdown(self) -> None:
-        if self._thread is not None:
-            self._http.shutdown()
-        self._http.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
+    def shutdown(self, drain: bool = True) -> None:
+        super().shutdown(drain)
         self.router.stop()
-
-    def __enter__(self) -> "ClusterFrontEnd":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -29,29 +29,26 @@ and ``hierarchy`` — which become an
 Differently-targeted submissions of one app never share a result, but
 they do share the scheduler's warm per-app session underneath.
 
-Three layers, so the protocol work is written once:
+Two layers, so the protocol work is written once:
 
 * :class:`ServiceAPI` — the transport-agnostic router.  Every endpoint
   is a pure ``(method, path, body) -> (status, payload, close)``
   function over the scheduler; it also owns the *draining* flag that
   turns submissions away with 503 during graceful shutdown.
-* :class:`AnalysisServer` — the production front end: a stdlib
+* :class:`AnalysisServer` — the one HTTP transport: a stdlib
   ``asyncio.start_server`` event loop on a daemon thread.  Connection
   handling (parsing, keep-alive, slow-client timeouts) is non-blocking
-  coroutine work; each parsed request is bridged to :class:`ServiceAPI`
-  via ``loop.run_in_executor`` so queue locks and store probes never
-  stall the loop.  With the scheduler's process cold lane, the service
+  coroutine work; each parsed request is bridged to the router via
+  ``loop.run_in_executor`` so queue locks and store probes never stall
+  the loop.  With the scheduler's process cold lane, the service
   interpreter only ever runs event-loop bookkeeping and warm
   mmap-backed restores — cold CPU work lives in worker processes — so
   warm tail latency no longer inflates under cold load.  A lag monitor
   samples the event loop's scheduling delay and reports percentiles
-  under ``stats()["server"]``.
-* :class:`ThreadedAnalysisServer` — the previous
-  ``http.server.ThreadingHTTPServer`` stack (one thread per
-  connection), kept as the comparison baseline for
-  ``benchmarks/bench_sustained_traffic.py`` and for environments where
-  a thread-per-connection model is easier to reason about.  Same
-  :class:`ServiceAPI`, same endpoints, same lifecycle methods.
+  under ``stats()["server"]``.  The cluster front end
+  (:class:`~repro.service.cluster.ClusterRouter`) rides the same
+  transport: any object with ``handle(method, path, body)`` and a
+  ``draining`` flag can be served.
 
 :class:`ServiceClient` is the matching ``urllib`` client used by tests,
 CI smoke checks and scripts; it retries connection-refused/reset errors
@@ -69,7 +66,6 @@ import threading
 import time
 from collections import deque
 from http.client import responses as _http_reasons
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 from urllib import request as urlrequest
 from urllib.error import HTTPError, URLError
@@ -112,8 +108,8 @@ class ServiceAPI:
     """The transport-agnostic request router over one scheduler.
 
     ``handle`` maps ``(method, path, body)`` to
-    ``(status, json_payload, close_connection)`` — both HTTP front ends
-    delegate here, so validation, error shapes and the draining
+    ``(status, json_payload, close_connection)`` — the HTTP transport
+    delegates here, so validation, error shapes and the draining
     lifecycle are defined exactly once.  ``extra_stats`` (when given)
     contributes the front end's own health under ``/v1/stats``'s
     ``server`` key.
@@ -312,19 +308,34 @@ class AnalysisServer:
 
     Request handling is non-blocking: coroutines own the sockets
     (parsing, keep-alive, slow-client timeouts) and every parsed
-    request is dispatched to :class:`ServiceAPI` on the default
-    executor, so a slow store probe never stalls other connections.
+    request is dispatched to the router on the default executor, so a
+    slow store probe never stalls other connections.
+
+    Pass a ``scheduler`` to serve it through a :class:`ServiceAPI`, or
+    a ready ``router`` (anything with ``handle(method, path, body)``
+    and a ``draining`` flag, e.g. the cluster front end's
+    :class:`~repro.service.cluster.ClusterRouter`) to serve that
+    instead; :meth:`drain` and :meth:`shutdown` then leave job
+    bookkeeping to the router's owner.
     """
 
     def __init__(
         self,
-        scheduler: StoreAwareScheduler,
+        scheduler: Optional[StoreAwareScheduler] = None,
         host: str = "127.0.0.1",
         port: int = 0,
+        router=None,
     ) -> None:
-        """Bind the listener (not yet serving) over ``scheduler``."""
+        """Bind the listener (not yet serving) over ``scheduler``
+        (or ``router``)."""
+        if (scheduler is None) == (router is None):
+            raise ValueError("pass exactly one of scheduler or router")
         self.scheduler = scheduler
-        self.api = ServiceAPI(scheduler, extra_stats=self._server_stats)
+        self.api = (
+            router
+            if router is not None
+            else ServiceAPI(scheduler, extra_stats=self._server_stats)
+        )
         self._sock = socket.create_server((host, port), backlog=128)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -340,7 +351,7 @@ class AnalysisServer:
                 "Event-loop scheduling delay per lag-monitor sample.",
                 buckets=LAG_BUCKETS,
             )
-            if scheduler.metrics is not None
+            if scheduler is not None and scheduler.metrics is not None
             else None
         )
 
@@ -534,10 +545,10 @@ class AnalysisServer:
     async def _monitor_loop_lag(self) -> None:
         """Sample how late the loop wakes a timed sleep (GIL pressure).
 
-        On the threaded stack this is the number that blows up under
-        cold load; with the process cold lane it stays flat — the
-        metric that makes the contention fix observable in production,
-        not just in benchmarks.
+        With in-process cold analyses (``cold_executor="thread"``) this
+        is the number that blows up under cold load; with the process
+        cold lane it stays flat — the metric that makes the contention
+        fix observable in production, not just in benchmarks.
         """
         loop = asyncio.get_running_loop()
         while True:
@@ -576,8 +587,11 @@ class AnalysisServer:
         terminal state or *timeout* elapses.  Returns True when the
         queue went idle — the caller then shuts down with
         ``drain=True``; on False, ``drain=False`` abandons the stragglers.
+        A router-only server has no queue here and returns True at once.
         """
         self.api.draining = True
+        if self.scheduler is None:
+            return True
         return self.scheduler.queue.wait_idle(timeout)
 
     def shutdown(self, drain: bool = True) -> None:
@@ -599,154 +613,10 @@ class AnalysisServer:
             self._thread = None
         else:
             self._sock.close()
-        self.scheduler.shutdown(wait=drain)
+        if self.scheduler is not None:
+            self.scheduler.shutdown(wait=drain)
 
     def __enter__(self) -> "AnalysisServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown(drain=True)
-
-
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Thin ``http.server`` adapter over :class:`ServiceAPI`."""
-
-    server: "_ServiceHTTPServer"
-    protocol_version = "HTTP/1.1"
-    #: Socket timeout: a client that stalls mid-request (e.g. announces
-    #: a Content-Length it never sends) must not pin a handler thread
-    #: forever; ``handle_one_request`` turns the TimeoutError into a
-    #: dropped connection.
-    timeout = 30
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr chatter (see ``/v1/stats``)."""
-
-    def _send(self, status: int, payload, close: bool) -> None:
-        if close:
-            self.close_connection = True
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-            content_type = PROMETHEUS_CONTENT_TYPE
-        else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _route(self, method: str, body: Optional[bytes] = None) -> None:
-        status, payload, close = self.server.api.handle(
-            method, self.path, body
-        )
-        self._send(status, payload, close)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._route("GET")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._route("DELETE")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        try:
-            length = int(self.headers.get("Content-Length", "0") or "0")
-        except ValueError:
-            self._send(400, {"error": "bad Content-Length"}, close=True)
-            return
-        if length < 0 or length > MAX_BODY_BYTES:
-            self._send(
-                400,
-                {"error": "submission body required (a small JSON object)"},
-                close=True,
-            )
-            return
-        body = self.rfile.read(length) if length else b""
-        self._route("POST", body)
-
-
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    #: Service restarts must not wait out TIME_WAIT sockets.
-    allow_reuse_address = True
-
-    def __init__(self, address, api: ServiceAPI) -> None:
-        """Bind ``address`` and attach the API the handlers route to."""
-        super().__init__(address, _ServiceHandler)
-        self.api = api
-
-
-class ThreadedAnalysisServer:
-    """The thread-per-connection front end (comparison baseline).
-
-    Same :class:`ServiceAPI`, endpoints and lifecycle as
-    :class:`AnalysisServer`, served by ``ThreadingHTTPServer`` — the
-    pre-asyncio stack, kept for the sustained-traffic benchmark's
-    threaded-vs-async comparison and as a fallback front end
-    (``backdroid serve --loop threaded``).
-    """
-
-    def __init__(
-        self,
-        scheduler: StoreAwareScheduler,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.scheduler = scheduler
-        self.api = ServiceAPI(scheduler, extra_stats=self._server_stats)
-        self._http = _ServiceHTTPServer((host, port), self.api)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port) — authoritative even for ``port=0``."""
-        return self._http.server_address[0], self._http.server_address[1]
-
-    def _server_stats(self) -> dict:
-        return {
-            "loop": "threaded",
-            "draining": self.api.draining,
-            #: No event loop to lag — the analogous pressure shows up as
-            #: per-request latency instead (the benchmark measures it).
-            "event_loop_lag_seconds": None,
-        }
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ThreadedAnalysisServer":
-        """Start serving on a daemon thread; returns self for chaining."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._http.serve_forever,
-            name="backdroid-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def join(self) -> None:
-        """Block the caller until the listener thread exits."""
-        if self._thread is not None:
-            self._thread.join()
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """503 new submissions, wait for in-flight jobs (see
-        :meth:`AnalysisServer.drain`)."""
-        self.api.draining = True
-        return self.scheduler.queue.wait_idle(timeout)
-
-    def shutdown(self, drain: bool = True) -> None:
-        """Stop the listener, then (with ``drain``) finish queued jobs."""
-        if self._thread is not None:
-            self._http.shutdown()
-        self._http.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-        self.scheduler.shutdown(wait=drain)
-
-    def __enter__(self) -> "ThreadedAnalysisServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:

@@ -44,6 +44,12 @@ from repro.telemetry import tracing
 #: the cancel-a-running-worker path deterministically.
 STALL_ENV_VAR = "BACKDROID_COLD_STALL_SECONDS"
 
+#: How often an idle worker checks that the process that forked it is
+#: still alive.  A pipe EOF cannot signal the parent's death: forked
+#: workers inherit the parent's end of their own pipe (and of every
+#: earlier worker's), so the pipe never closes while any worker lives.
+PARENT_POLL_SECONDS = 0.5
+
 
 # ======================================================================
 # Worker entry points (module-level: they pickle by reference)
@@ -74,10 +80,14 @@ def run_analysis_payload(spec, config=None, request=None) -> dict:
         return outcome_payload(outcome)
 
 
-def _worker_main(conn, nice: int = 0) -> None:
+def _worker_main(conn, parent_pid: int, nice: int = 0) -> None:
     """One worker process's loop: recv task, analyze, send payload.
 
-    A ``None`` task (or a closed pipe) is the shutdown signal.  The
+    A ``None`` task (or a closed pipe) is the shutdown signal, and so
+    is the death of ``parent_pid`` — the service that forked the
+    worker — noticed within :data:`PARENT_POLL_SECONDS` while idle or
+    stalled, and before sending a finished result, so a SIGKILLed
+    service leaves no orphaned workers behind.  The
     stall knob rides the task itself so the parent's environment at
     dispatch time — not the child's at fork time — controls it.
 
@@ -91,16 +101,28 @@ def _worker_main(conn, nice: int = 0) -> None:
             os.nice(nice)
         except (AttributeError, OSError):
             pass  # platform without nice(), or lowering denied
+
+    def orphaned() -> bool:
+        return os.getppid() != parent_pid
+
     while True:
         try:
+            while not conn.poll(PARENT_POLL_SECONDS):
+                if orphaned():
+                    return
             task = conn.recv()
         except (EOFError, OSError):
             return
         if task is None:
             return
         spec, config, request, stall_seconds, trace_ctx = task
-        if stall_seconds:
-            time.sleep(stall_seconds)
+        # Stall in slices: a worker stalled under a killed service must
+        # still notice and exit.
+        stall_end = time.monotonic() + stall_seconds
+        while (left := stall_end - time.monotonic()) > 0:
+            if orphaned():
+                return
+            time.sleep(min(PARENT_POLL_SECONDS, left))
         spans: list = []
         if trace_ctx is not None:
             worker_tracer = tracing.Tracer(enabled=True)
@@ -111,6 +133,8 @@ def _worker_main(conn, nice: int = 0) -> None:
             spans = worker_tracer.collect(trace_ctx["trace_id"])
         else:
             payload = run_analysis_payload(spec, config, request)
+        if orphaned():
+            return  # nobody reads the pipe: a large send would block
         try:
             conn.send(
                 {"pid": os.getpid(), "payload": payload, "spans": spans}
@@ -150,7 +174,7 @@ class _Worker:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, nice),
+            args=(child_conn, os.getpid(), nice),
             name="backdroid-cold-worker",
             daemon=True,
         )

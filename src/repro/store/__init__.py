@@ -23,12 +23,10 @@ The on-disk format is specified in ``docs/STORE_FORMAT.md``.
 from repro.store.artifacts import (
     COMPAT_VERSIONS,
     FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
     PROBE_LEVELS,
     WARM_LEVELS,
     ArtifactStore,
     GcResult,
-    MigrateResult,
     StoreInventory,
     StoreProbe,
     StoreStats,
@@ -59,14 +57,12 @@ __all__ = [
     "DEFAULT_GROUP_CACHE",
     "FORMAT_VERSION",
     "KEY_VERSION",
-    "LEGACY_FORMAT_VERSION",
     "PROBE_LEVELS",
     "WARM_LEVELS",
     "ArtifactStore",
     "GcResult",
     "LazyShardView",
     "LazyTokenIndex",
-    "MigrateResult",
     "ShardCorrupt",
     "ShardGroup",
     "ShardStale",

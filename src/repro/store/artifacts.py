@@ -27,13 +27,10 @@ Layout (see ``docs/STORE_FORMAT.md`` for the full spec)::
         one class group, v3 binary container (struct-packed sections;
         see :mod:`repro.store.binshard`): relative tokens + prefolded
         mini-index
-    <root>/shards/<sha[:2]>/<sha>.json
-        the same content in the legacy v2 JSON container — still
-        readable; ``gc``/``warm``/``migrate`` convert it in place
     <root>/specmap/<fp[:2]>/<fp>.json
         app-spec fingerprint -> disassembly content key
 
-Restores are **lazy**: a fully binary warm entry returns a
+Restores are **lazy**: a complete warm entry returns a
 :class:`~repro.store.lazy.LazyTokenIndex` that mmaps each shard and
 materializes a group's posting lists only when a query touches it, so
 warm sessions pay decode cost proportional to the groups they query,
@@ -47,7 +44,10 @@ complete entries — never a torn file.  Duplicate writers race benignly
 
 Corruption and staleness are handled by treating every unreadable,
 version-mismatched or key-mismatched entry as a miss: the caller falls
-back to a fresh build and overwrites the entry.  A manifest pointing at
+back to a fresh build and overwrites the entry.  Entries written by
+v2-era stores (JSON shards, version-2 manifests, outcomes and specmap
+files) read as stale this way; ``gc`` sweeps their leftover JSON
+shards.  A manifest pointing at
 a *missing or corrupt shard* is patched in place when the caller holds
 the disassembly (only the damaged groups are re-folded — incremental
 re-indexing), and reads as a plain miss otherwise.
@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from repro.dex.disassembler import Disassembly, LineToken
+from repro.dex.disassembler import Disassembly
 from repro.search.backends.indexed import TokenIndex
 from repro.store.binshard import (
     LazyShardView,
@@ -79,7 +79,6 @@ from repro.store.sharding import (
     KEY_VERSION,
     ShardGroup,
     compose_index,
-    compose_tokens,
     fold_group,
     partition_disassembly,
     shard_key,
@@ -87,22 +86,17 @@ from repro.store.sharding import (
     tokens_from_shard,
 )
 
-#: The *container* version new writers publish.  v2 introduced the
-#: shard/manifest layout (v1 monolithic entries read as misses and are
-#: swept by ``gc``); v3 re-encodes shards as the mmap-friendly binary
-#: container.  v3 changed no logical content, so content addresses
-#: still hash under :data:`~repro.store.sharding.KEY_VERSION` and v2
-#: JSON artifacts remain readable (see :data:`COMPAT_VERSIONS`) until
-#: migrated in place.
+#: The *container* version every writer publishes.  v2 introduced the
+#: shard/manifest layout with JSON shards; v3 re-encodes shards as the
+#: mmap-friendly binary container.  v3 changed no logical content, so
+#: content addresses still hash under
+#: :data:`~repro.store.sharding.KEY_VERSION` and a v3 rebuild of a
+#: v2-era entry lands at the same address.
 FORMAT_VERSION = 3
 
-#: Container versions the read path accepts.  Anything else — v1, or a
-#: future writer — reads as stale and is rebuilt/swept.
-COMPAT_VERSIONS = (2, FORMAT_VERSION)
-
-#: The legacy JSON container version (what ``shard_format="json"``
-#: handles write, for tooling that must produce v2 stores).
-LEGACY_FORMAT_VERSION = 2
+#: Container versions the read path accepts.  Anything else — v1, v2,
+#: or a future writer — reads as stale (a miss) and is rebuilt/swept.
+COMPAT_VERSIONS = (FORMAT_VERSION,)
 
 
 @dataclass
@@ -123,8 +117,6 @@ class StoreStats:
     #: missing groups were re-folded and published, the rest composed
     #: from disk.
     partial_hits: int = 0
-    token_hits: int = 0
-    token_misses: int = 0
     outcome_hits: int = 0
     outcome_misses: int = 0
     #: Per-shard read results across all composed restores.
@@ -150,9 +142,6 @@ class StoreStats:
     #: Decoded groups dropped by the lazy index's LRU bound (each later
     #: re-touch is a re-fault counted in ``groups_materialized``).
     group_cache_evictions: int = 0
-    #: Legacy JSON shards converted to the binary container in place
-    #: (``gc``/``warm``/``migrate``).
-    shards_migrated: int = 0
     #: Specmap writes suppressed by an installed advisory guard (a
     #: cluster node that does not hold the specmap lease).
     specmap_writes_skipped: int = 0
@@ -163,8 +152,6 @@ class StoreStats:
             "index_hits": self.index_hits,
             "index_misses": self.index_misses,
             "partial_hits": self.partial_hits,
-            "token_hits": self.token_hits,
-            "token_misses": self.token_misses,
             "outcome_hits": self.outcome_hits,
             "outcome_misses": self.outcome_misses,
             "shard_hits": self.shard_hits,
@@ -176,7 +163,6 @@ class StoreStats:
             "lazy_restores": self.lazy_restores,
             "groups_materialized": self.groups_materialized,
             "group_cache_evictions": self.group_cache_evictions,
-            "shards_migrated": self.shards_migrated,
             "specmap_writes_skipped": self.specmap_writes_skipped,
         }
 
@@ -204,9 +190,6 @@ class StoreInventory:
     shard_refs: int = 0
     #: Bytes the referenced shards would occupy without dedup.
     logical_shard_bytes: int = 0
-    #: Shard files still in the legacy v2 JSON container (``store
-    #: migrate`` converts them; 0 on a fully migrated store).
-    legacy_json_shards: int = 0
 
     @property
     def bytes_saved(self) -> int:
@@ -234,8 +217,6 @@ class StoreInventory:
             f"(logical {self.logical_shard_bytes}, "
             f"saved {self.bytes_saved})",
             f"  dedup ratio : {self.dedup_ratio:.2f}x",
-            f"  containers  : {self.shards - self.legacy_json_shards} "
-            f"binary, {self.legacy_json_shards} legacy JSON",
         ]
         for kind in sorted(self.files_by_kind):
             lines.append(f"  {kind:11} : {self.files_by_kind[kind]} file(s)")
@@ -254,7 +235,6 @@ class StoreInventory:
             "logical_shard_bytes": self.logical_shard_bytes,
             "bytes_saved": self.bytes_saved,
             "dedup_ratio": self.dedup_ratio,
-            "legacy_json_shards": self.legacy_json_shards,
         }
 
 
@@ -264,22 +244,6 @@ class GcResult:
 
     entries_removed: int = 0
     shards_removed: int = 0
-    bytes_reclaimed: int = 0
-    #: Surviving legacy JSON shards converted to the binary container
-    #: during the sweep (binary-format stores only).
-    shards_migrated: int = 0
-
-
-@dataclass
-class MigrateResult:
-    """What one :meth:`ArtifactStore.migrate` pass converted."""
-
-    shards_migrated: int = 0
-    #: Legacy shards that failed validation and were left in place (a
-    #: live run patches them from the disassembly instead).
-    shards_failed: int = 0
-    #: JSON bytes dropped minus binary bytes added (the container is
-    #: denser, so this is normally positive).
     bytes_reclaimed: int = 0
 
 
@@ -344,8 +308,8 @@ def store_key(disassembly: Disassembly) -> str:
     Hashes every plaintext line plus the :data:`KEY_VERSION`, so any
     bytecode change — or any change to the hashed content itself —
     yields a different key and naturally invalidates stale entries.
-    The *container* version is deliberately absent: re-encoding shards
-    (v2 JSON -> v3 binary) must not orphan every stored entry.
+    The *container* version is deliberately absent: a container change
+    (v2 JSON -> v3 binary) rebuilds entries at their old addresses.
     """
     cached = getattr(disassembly, "_store_key_cache", None)
     if cached is None:
@@ -400,34 +364,16 @@ class ArtifactStore:
     state lives on disk, and every publish is an atomic rename.
     """
 
-    #: Container formats a handle can write.  ``"binary"`` (default)
-    #: publishes v3 mmap-friendly shards and serves lazy restores;
-    #: ``"json"`` emulates a v2-era writer — legacy JSON shards and
-    #: version-2 payloads, eager restores — for migration tooling,
-    #: A/B benchmarks and fixtures.
-    SHARD_FORMATS = ("binary", "json")
-
     def __init__(
         self,
         root,
-        shard_format: str = "binary",
         group_cache: int = DEFAULT_GROUP_CACHE,
     ) -> None:
         """Open (lazily) the store rooted at ``root``; never touches
         disk until the first read or write.  ``group_cache`` bounds how
         many materialized groups each lazy restore keeps resident."""
-        if shard_format not in self.SHARD_FORMATS:
-            raise ValueError(
-                f"unknown shard format {shard_format!r}: "
-                f"choose from {self.SHARD_FORMATS}"
-            )
         self.root = Path(root)
-        self.shard_format = shard_format
         self._group_cache = group_cache
-        self._write_version = (
-            FORMAT_VERSION if shard_format == "binary"
-            else LEGACY_FORMAT_VERSION
-        )
         self.stats = _STATS_BY_ROOT.setdefault(
             os.path.abspath(str(self.root)), StoreStats()
         )
@@ -442,39 +388,20 @@ class ArtifactStore:
     def _manifest_path(self, key: str) -> Path:
         return self.entry_dir(key) / "manifest.json"
 
-    def _shard_path_bin(self, sha: str) -> Path:
-        return self.root / "shards" / sha[:2] / f"{sha}.bin"
-
-    def _shard_path_json(self, sha: str) -> Path:
-        return self.root / "shards" / sha[:2] / f"{sha}.json"
-
     def _shard_path(self, sha: str) -> Path:
-        """Where *this handle's* configured format publishes a shard."""
-        if self.shard_format == "binary":
-            return self._shard_path_bin(sha)
-        return self._shard_path_json(sha)
-
-    def _find_shard(self, sha: str) -> Optional[Path]:
-        """The on-disk file (either container) holding ``sha``, if any."""
-        for path in (self._shard_path_bin(sha), self._shard_path_json(sha)):
-            if path.is_file():
-                return path
-        return None
+        return self.root / "shards" / sha[:2] / f"{sha}.bin"
 
     def _shard_present(self, sha: str) -> bool:
         """Stat/size-only presence probe — never parses a payload.
 
-        Advisory paths (scheduler probes, publish dedup, gc refcounts)
-        call this per shard; decoding there would make every probe cost
-        O(shard bytes) instead of one ``stat``.
+        Advisory paths (scheduler probes, lazy restores) call this per
+        shard; decoding there would make every probe cost O(shard
+        bytes) instead of one ``stat``.
         """
-        for path in (self._shard_path_bin(sha), self._shard_path_json(sha)):
-            try:
-                if path.stat().st_size > 0:
-                    return True
-            except OSError:
-                continue
-        return False
+        try:
+            return self._shard_path(sha).stat().st_size > 0
+        except OSError:
+            return False
 
     def _outcome_path(self, key: str, config_fingerprint: str) -> Path:
         return self.entry_dir(key) / f"outcome-{config_fingerprint}.json"
@@ -570,30 +497,23 @@ class ArtifactStore:
         return cached
 
     def _write_shard(self, group: ShardGroup, sha: str) -> dict:
-        """Publish one shard in this handle's container format."""
-        payload = shard_payload(group, sha, self._write_version)
-        if self.shard_format == "binary":
-            self._write_bytes(
-                self._shard_path_bin(sha), encode_shard(payload, sha)
-            )
-        else:
-            self._write_json(self._shard_path_json(sha), payload)
+        """Fold and publish one shard; returns its decoded payload."""
+        payload = shard_payload(group, sha, FORMAT_VERSION)
+        self._write_bytes(self._shard_path(sha), encode_shard(payload, sha))
         return payload
 
     def _publish_entry(self, disassembly: Disassembly) -> None:
         """Write any missing shards plus the app's manifest.
 
-        A shard whose content key already exists on disk — in *either*
-        container — is *shared*, not rewritten: that is the cross-app
-        dedup (the second app embedding a library publishes only its
-        manifest reference), and it keeps publishing from re-encoding
-        legacy shards (migration is an explicit maintenance action).
+        A shard whose content key already exists on disk is *shared*,
+        not rewritten: that is the cross-app dedup (the second app
+        embedding a library publishes only its manifest reference).
         """
         key = store_key(disassembly)
         groups = self._groups(disassembly)
         for group, sha in groups:
-            existing = self._find_shard(sha)
-            if existing is not None:
+            existing = self._shard_path(sha)
+            if existing.is_file():
                 self.stats.shards_shared += 1
                 try:
                     # Refresh the shared shard's mtime so gc's age gate
@@ -612,7 +532,7 @@ class ArtifactStore:
         self, key: str, groups: list[tuple[ShardGroup, str]]
     ) -> dict:
         return {
-            "version": self._write_version,
+            "version": FORMAT_VERSION,
             "key": key,
             "line_count": max(
                 (g.end_line for g, _ in groups), default=0
@@ -666,111 +586,32 @@ class ArtifactStore:
             return None
         return payload
 
-    #: Keys every readable shard payload must carry (shape-truncated
-    #: payloads read as corrupt, so one bad shard is patched instead of
-    #: poisoning the whole composition).
-    _SHARD_KEYS = (
-        "line_count", "tokens", "vocab", "postings", "string_ids",
-        "containing",
-    )
-
     def _read_shard(self, sha: str) -> Optional[dict]:
-        """A validated shard payload, or None (missing/corrupt/stale).
-
-        Container-agnostic: the binary file is preferred when both
-        exist (migration unlinks the JSON twin last, so a reader racing
-        a migration still finds one complete container either way).
-        """
-        try:
-            data = self._shard_path_bin(sha).read_bytes()
-        except FileNotFoundError:
-            data = None
-        except OSError:
+        """A validated shard payload, or None (missing/corrupt/stale)."""
+        status, payload = self._classify_shard(sha)
+        if status in ("corrupt", "stale"):
             self.stats.corrupt_entries += 1
-            data = None
-        if data is not None:
-            try:
-                return decode_shard(data, sha)
-            except ShardCorrupt:
-                self.stats.corrupt_entries += 1
-                return None
-        payload = self._read_json(self._shard_path_json(sha), sha)
-        if payload is None:
-            return None
-        if any(key not in payload for key in self._SHARD_KEYS):
-            self.stats.corrupt_entries += 1
-            return None
         return payload
 
     def _classify_shard(self, sha: str) -> tuple[str, Optional[dict]]:
         """``(status, payload)`` for the shard holding ``sha``.
 
-        The verifier's container-aware read: a foreign container
-        version reports ``"stale"`` (a live run rebuilds it), bit rot
-        reports ``"corrupt"``.
+        ``"ok"`` / ``"missing"`` / ``"corrupt"`` / ``"stale"``: a
+        foreign container version reports ``"stale"`` (a live run
+        rebuilds it), bit rot reports ``"corrupt"``.
         """
-        path_bin = self._shard_path_bin(sha)
-        if path_bin.is_file():
-            try:
-                data = path_bin.read_bytes()
-            except OSError:
-                return "corrupt", None
-            try:
-                return "ok", decode_shard(data, sha)
-            except ShardStale:
-                return "stale", None
-            except ShardCorrupt:
-                return "corrupt", None
-        status, payload = self._classify_payload(
-            self._shard_path_json(sha), sha
-        )
-        if status == "ok" and any(
-            key not in payload for key in self._SHARD_KEYS
-        ):
-            return "corrupt", None
-        return status, payload
-
-    # ------------------------------------------------------------------
-    # Token-stream artifacts
-    # ------------------------------------------------------------------
-    def save_tokens(self, disassembly: Disassembly) -> None:
-        """Persist the app's token stream as shards plus a manifest.
-
-        Shards also carry the prefolded mini-index, so a later
-        :meth:`load_index` over the same bytecode composes posting
-        lists without any token-stream fold.
-        """
-        self._publish_entry(disassembly)
-
-    def load_tokens(self, disassembly: Disassembly) -> Optional[list[LineToken]]:
-        """The app's token stream composed from its shards, or None.
-
-        Any missing or unreadable shard reads as a plain miss (the
-        entry self-heals on the next save); a full composition is
-        byte-identical to ``disassembly.tokens``.
-        """
-        key = store_key(disassembly)
-        manifest = self._read_manifest(key)
-        if manifest is None:
-            self.stats.token_misses += 1
-            return None
-        parts: list[tuple[int, dict]] = []
-        for group in manifest["groups"]:
-            payload = self._read_shard(group["shard"])
-            if payload is None:
-                self.stats.shard_misses += 1
-                self.stats.token_misses += 1
-                return None
-            self.stats.shard_hits += 1
-            parts.append((group["start_line"], payload))
         try:
-            tokens = compose_tokens(parts)
-        except (KeyError, TypeError, ValueError):
-            self.stats.corrupt_entries += 1
-            self.stats.token_misses += 1
-            return None
-        self.stats.token_hits += 1
-        return tokens
+            data = self._shard_path(sha).read_bytes()
+        except FileNotFoundError:
+            return "missing", None
+        except OSError:
+            return "corrupt", None
+        try:
+            return "ok", decode_shard(data, sha)
+        except ShardStale:
+            return "stale", None
+        except ShardCorrupt:
+            return "corrupt", None
 
     # ------------------------------------------------------------------
     # Inverted-index artifacts
@@ -807,28 +648,21 @@ class ArtifactStore:
         * no shards present — a plain miss (returns None); the caller
           builds fresh and saves, which publishes every shard.
 
-        On a ``"binary"`` handle, a full warm hit whose groups are all
-        in the binary container is served as a
+        A full warm hit is served as a
         :class:`~repro.store.lazy.LazyTokenIndex` — shards are mmapped,
         not parsed, and a group decodes on the first query that touches
-        it.  Mixed or legacy entries (any group still JSON) restore
-        eagerly, exactly as before.
+        it (a corrupt section heals from the disassembly mid-query).
         """
         started = time.perf_counter()
         key = store_key(disassembly)
         manifest = self._read_manifest(key)
         if manifest is not None:
-            if self.shard_format == "binary":
-                lazy = self._lazy_from_manifest(manifest, disassembly)
-                if lazy is not None:
-                    self.stats.index_hits += 1
-                    self.stats.lazy_restores += 1
-                    self.stats.shard_hits += len(manifest["groups"])
-                    return lazy
-            index = self._compose_from_manifest(manifest)
-            if index is not None:
+            lazy = self._lazy_from_manifest(manifest, disassembly)
+            if lazy is not None:
                 self.stats.index_hits += 1
-                return index
+                self.stats.lazy_restores += 1
+                self.stats.shard_hits += len(manifest["groups"])
+                return lazy
         # Slow path: no manifest, or a shard is missing/corrupt.  The
         # disassembly is authoritative — partition it, hash each group,
         # and compose from whatever shards exist (patching the rest).
@@ -879,24 +713,20 @@ class ArtifactStore:
     def _lazy_from_manifest(
         self, manifest: dict, disassembly: Disassembly
     ) -> Optional[LazyTokenIndex]:
-        """A lazy index over the manifest's binary shards, or None.
+        """A lazy index over the manifest's shards, or None.
 
         Presence is checked by ``stat`` only — no shard byte is read or
         parsed here; the first query pays for candidacy probes and any
-        materialization.  Any group lacking a binary container (legacy
-        JSON, or gone) disqualifies the whole entry, and the caller
-        falls back to the eager/patching paths.
+        materialization.  Any missing (or empty) shard disqualifies the
+        whole entry, and the caller falls back to the patching path.
         """
         parts: list[tuple[int, LazyShardView]] = []
         for group in manifest["groups"]:
             sha = group["shard"]
-            path = self._shard_path_bin(sha)
-            try:
-                if path.stat().st_size <= 0:
-                    return None
-            except OSError:
+            if not self._shard_present(sha):
                 return None
-            parts.append((group["start_line"], LazyShardView(path, sha)))
+            view = LazyShardView(self._shard_path(sha), sha)
+            parts.append((group["start_line"], view))
         return LazyTokenIndex(
             parts,
             heal=self._heal_group_fn(disassembly),
@@ -909,16 +739,11 @@ class ArtifactStore:
 
         Re-folds group *i* from the live disassembly (manifest group
         order is :meth:`_groups` order — both derive deterministically
-        from the same bytecode) and republishes its binary shard; the
-        caller drops its stale mapping and proceeds with the repaired
-        payload.
+        from the same bytecode) and republishes its shard; the caller
+        drops its stale mapping and proceeds with the repaired payload.
         """
         def heal(index: int) -> dict:
-            group, sha = self._groups(disassembly)[index]
-            payload = shard_payload(group, sha, FORMAT_VERSION)
-            self._write_bytes(
-                self._shard_path_bin(sha), encode_shard(payload, sha)
-            )
+            payload = self._write_shard(*self._groups(disassembly)[index])
             # Laziness only heals shards that existed but could not be
             # trusted, so every heal is also a corrupt-entry event.
             self.stats.corrupt_entries += 1
@@ -926,29 +751,6 @@ class ArtifactStore:
             return payload
 
         return heal
-
-    def _compose_from_manifest(self, manifest: dict) -> Optional[TokenIndex]:
-        """The fast restore path: manifest-listed shards, no hashing.
-
-        A published manifest already records every group's shard key
-        and line offset, so a fully warm entry composes without
-        partitioning or re-hashing the disassembly.  Returns None on
-        any gap (missing/corrupt shard, compose failure) — the caller
-        then falls back to the authoritative disassembly-derived path.
-        """
-        parts: list[tuple[int, dict]] = []
-        for group in manifest["groups"]:
-            payload = self._read_shard(group["shard"])
-            if payload is None:
-                return None
-            parts.append((group["start_line"], payload))
-        try:
-            index = compose_index(parts)
-        except (KeyError, TypeError, ValueError):
-            self.stats.corrupt_entries += 1
-            return None
-        self.stats.shard_hits += len(parts)
-        return index
 
     # ------------------------------------------------------------------
     # Finished per-app outcomes (batch warm starts)
@@ -961,7 +763,7 @@ class ArtifactStore:
         self._write_json(
             self._outcome_path(key, config_fingerprint),
             {
-                "version": self._write_version,
+                "version": FORMAT_VERSION,
                 "key": key,
                 "config": config_fingerprint,
                 "outcome": outcome,
@@ -1040,7 +842,7 @@ class ArtifactStore:
         self._write_json(
             self._spec_path(spec_fingerprint),
             {
-                "version": self._write_version,
+                "version": FORMAT_VERSION,
                 "key": spec_fingerprint,
                 "target": key,
             },
@@ -1079,7 +881,7 @@ class ArtifactStore:
     def save_node_manifest(self, node_id: str, payload: dict) -> None:
         """Publish one node's heartbeat/gossip manifest (atomic)."""
         body = dict(payload)
-        body["version"] = self._write_version
+        body["version"] = FORMAT_VERSION
         body["key"] = node_id
         body["node_id"] = node_id
         body["updated_at"] = time.time()
@@ -1138,7 +940,7 @@ class ArtifactStore:
                 return None
             if unexpired and current.get("owner") == owner:
                 payload = {
-                    "version": self._write_version,
+                    "version": FORMAT_VERSION,
                     "key": name,
                     "owner": owner,
                     "token": current.get("token"),
@@ -1163,7 +965,7 @@ class ArtifactStore:
         with os.fdopen(fd, "w") as handle:
             handle.write(owner)
         payload = {
-            "version": self._write_version,
+            "version": FORMAT_VERSION,
             "key": name,
             "owner": owner,
             "token": next_token,
@@ -1356,8 +1158,9 @@ class ArtifactStore:
                 if entry.is_dir():
                     yield entry
 
-    def _shard_files(self) -> Iterator[Path]:
-        """Every published shard file."""
+    def _shard_files(self, suffixes=(".bin",)) -> Iterator[Path]:
+        """Every published shard file; gc adds ``".json"`` to
+        ``suffixes`` to reach a v2-era writer's leftovers."""
         shards = self.root / "shards"
         if not shards.is_dir():
             return
@@ -1365,7 +1168,7 @@ class ArtifactStore:
             if not prefix.is_dir():
                 continue
             for shard in sorted(prefix.iterdir()):
-                if shard.is_file() and shard.suffix in (".bin", ".json"):
+                if shard.is_file() and shard.suffix in suffixes:
                     yield shard
 
     def _spec_files(self) -> Iterator[Path]:
@@ -1404,8 +1207,6 @@ class ArtifactStore:
             inventory.shards += 1
             inventory.shard_bytes += size
             inventory.total_bytes += size
-            if shard.suffix == ".json":
-                inventory.legacy_json_shards += 1
             inventory.files_by_kind["shard"] = (
                 inventory.files_by_kind.get("shard", 0) + 1
             )
@@ -1461,10 +1262,10 @@ class ArtifactStore:
         probe — but a long-lived store must not leak one file per spec
         forever).
 
-        On a ``"binary"`` handle, surviving *referenced* legacy JSON
-        shards are additionally migrated to the binary container in
-        place (``shards_migrated``), so routine collection steadily
-        converts a v2 store without a dedicated maintenance pass.
+        Shards left in the v2 JSON container are swept by the same age
+        rule whether or not a manifest names their content address:
+        nothing reads that container, and a live run rebuilds the
+        entry as binary shards at the same address.
         """
         cutoff = time.time() - max_age_seconds
         result = GcResult()
@@ -1486,8 +1287,8 @@ class ArtifactStore:
                 # leave it for the next collection.
                 continue
         referenced = self._referenced_shards()
-        for shard in list(self._shard_files()):
-            if shard.stem in referenced:
+        for shard in list(self._shard_files((".bin", ".json"))):
+            if shard.suffix == ".bin" and shard.stem in referenced:
                 continue
             try:
                 stat = shard.stat()
@@ -1527,73 +1328,4 @@ class ArtifactStore:
                     result.bytes_reclaimed += size
                 except OSError:
                     continue
-        if self.shard_format == "binary":
-            for shard in list(self._shard_files()):
-                if shard.suffix != ".json" or shard.stem not in referenced:
-                    continue
-                if self._migrate_shard(shard) is not None:
-                    result.shards_migrated += 1
-        return result
-
-    def _migrate_shard(self, path: Path) -> Optional[int]:
-        """Convert one legacy JSON shard to the binary container.
-
-        The content address is container-independent, so the binary
-        twin is published at the same sha (no manifest rewrite) and the
-        JSON file is unlinked last — a reader racing the migration
-        always finds one complete container.  Returns the bytes
-        reclaimed (JSON size minus binary size; the binary container is
-        denser, so normally positive), or None when the legacy payload
-        fails validation and is left in place for the live patch path.
-        """
-        sha = path.stem
-        bin_path = self._shard_path_bin(sha)
-        try:
-            json_size = path.stat().st_size
-        except OSError:
-            return None  # swept by a concurrent gc mid-pass
-        if not bin_path.is_file():
-            status, payload = self._classify_payload(path, sha)
-            if status != "ok" or any(
-                key not in payload for key in self._SHARD_KEYS
-            ):
-                return None
-            try:
-                data = encode_shard(payload, sha)
-            except (KeyError, TypeError, ValueError):
-                # CRC-clean JSON whose structure lies (a token text
-                # missing from its own vocabulary): not convertible.
-                return None
-            self._write_bytes(bin_path, data)
-        try:
-            bin_size = bin_path.stat().st_size
-        except OSError:
-            bin_size = 0
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        self.stats.shards_migrated += 1
-        return json_size - bin_size
-
-    def migrate(self) -> MigrateResult:
-        """Convert every legacy JSON shard to the binary container.
-
-        In place and idempotent (``backdroid store migrate``): shard
-        content addresses name logical content, not containers, so
-        manifests keep referencing the same shas and a partially
-        migrated (mixed) store stays fully readable throughout.
-        Legacy shards that fail validation are counted and left on
-        disk — a live run holding the disassembly patches them.
-        """
-        result = MigrateResult()
-        for shard in list(self._shard_files()):
-            if shard.suffix != ".json":
-                continue
-            reclaimed = self._migrate_shard(shard)
-            if reclaimed is None:
-                result.shards_failed += 1
-            else:
-                result.shards_migrated += 1
-                result.bytes_reclaimed += reclaimed
         return result

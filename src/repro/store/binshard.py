@@ -1,8 +1,8 @@
 """The v3 binary shard container: struct-packed sections over mmap.
 
-A v2 shard is one JSON document; restoring it costs a full parse even
-when the session only ever queries a handful of library groups.  The v3
-container packs the same logical content — relative token records, the
+A v2-era shard was one JSON document; restoring it cost a full parse
+even when the session only ever queried a handful of library groups.
+The v3 container packs the same logical content — relative token records, the
 vocabulary, posting lists, string-token ids and the containment map —
 into independently decodable **sections** behind a fixed header and an
 offset table, so a reader can :func:`mmap.mmap` the file and decode
@@ -47,8 +47,8 @@ Section encodings:
                   every containment key
 
 The container version is independent of the *content* addresses (see
-:data:`repro.store.sharding.KEY_VERSION`): a JSON shard and its binary
-migration carry the same sha and satisfy the same manifest reference.
+:data:`repro.store.sharding.KEY_VERSION`): a container change rebuilds
+each shard under the same sha and manifest reference.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ def read_header(buf) -> BinHeader:
 # Encoding
 # ----------------------------------------------------------------------
 def encode_shard(payload: dict, key: str) -> bytes:
-    """Pack one shard payload (the v2 JSON shape) into the v3 container.
+    """Pack one shard payload (the :func:`~repro.store.sharding.shard_payload`
+    shape) into the v3 container.
 
     ``key`` is the shard's hex content address; it is embedded raw in
     the header so a reader can reject a renamed/swapped file without
@@ -386,7 +387,7 @@ def _decode_tokens(
 
 
 def decode_mini_index(buf, header: BinHeader) -> dict:
-    """The prefolded mini-index sections as the v2 payload keys."""
+    """The prefolded mini-index sections as shard payload keys."""
     off, length = _checked(buf, header, SEC_VOCAB)
     vocab = _decode_vocab(buf, off, length, header.vocab_count)
     off, length = _checked(buf, header, SEC_POSTINGS)
@@ -406,10 +407,10 @@ def decode_mini_index(buf, header: BinHeader) -> dict:
 
 
 def decode_shard(buf, sha: Optional[str] = None) -> dict:
-    """Fully decode one binary shard into the v2 JSON payload shape.
+    """Fully decode one binary shard into the shard payload shape.
 
     With ``sha`` given, the header's embedded content address must
-    match (the binary analogue of the JSON ``key`` field check).
+    match (a renamed or swapped file reads as corrupt).
     Raises :class:`ShardCorrupt`/:class:`ShardStale` as appropriate.
     """
     header = read_header(buf)

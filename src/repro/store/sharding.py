@@ -19,10 +19,9 @@ stores the group's tokens with line numbers relative to the group start,
 plus a prefolded mini-index (vocabulary, posting lists, string-token
 ids) over those relative lines.
 
-Composition is exact: concatenating a manifest's groups in render order,
-re-basing each shard's relative lines onto the group's recorded start
-line, reproduces the app's token stream byte for byte — and merging the
-mini-indexes in the same order reproduces a freshly built
+Composition is exact: merging a manifest's shard mini-indexes in render
+order, re-basing each shard's relative lines onto the group's recorded
+start line, reproduces a freshly built
 :class:`~repro.search.backends.indexed.TokenIndex` structure for
 structure (the parity suite enforces equality on ``vocab``,
 ``postings``, ``exact``, ``containing`` and the string-id list).
@@ -41,11 +40,10 @@ from repro.search.backends.indexed import TokenIndex
 #: The *content-address* version: feeds every app key and shard key.
 #: Deliberately decoupled from the store's container FORMAT_VERSION —
 #: v3 changed only the shard *encoding* (binary sections instead of
-#: JSON), not the logical content, so v2 JSON shards and v3 binary
-#: shards of the same class group share one sha and one manifest
-#: reference.  Bump this only when the hashed content itself changes
-#: (token shapes, line-count semantics), which orphans every stored
-#: entry.
+#: JSON), not the logical content, so a v3 rebuild of a v2-era entry
+#: lands at the same sha and manifest reference.  Bump this only when
+#: the hashed content itself changes (token shapes, line-count
+#: semantics), which orphans every stored entry.
 KEY_VERSION = 2
 
 
@@ -89,8 +87,8 @@ class ShardGroup:
         structural ambiguity (kind/text containing separators) is
         handled by JSON string escaping.  Cached on the group object so
         a save that hashes the group and anything downstream that needs
-        the same bytes (verification replay, legacy-JSON encoding)
-        serializes the token list exactly once per group.
+        the same bytes (verification replay) serializes the token list
+        exactly once per group.
         """
         cached = self.__dict__.get("_canonical_bytes")
         if cached is None:
@@ -151,8 +149,8 @@ def shard_key(group: ShardGroup, key_version: int = KEY_VERSION) -> str:
     (later groups' offsets depend on it) and the :data:`KEY_VERSION` —
     but *not* its label or absolute position, so identical library code
     dedups across apps regardless of where each app renders it, and
-    *not* the container format, so a JSON shard and its binary
-    migration share one content address.
+    *not* the container format, so a container change rebuilds the
+    shard at the same content address.
     """
     digest = hashlib.sha256()
     digest.update(f"backdroid-shard-v{key_version}\n".encode())
@@ -187,10 +185,11 @@ def fold_group(
 
 
 def shard_payload(group: ShardGroup, key: str, format_version: int) -> dict:
-    """The JSON payload published for one shard.
+    """The payload published for one shard (the binary container
+    encodes exactly these keys; see :mod:`repro.store.binshard`).
 
-    Carries both restore products: the relative token stream (composed
-    back into per-app token streams) and the prefolded mini-index —
+    Carries the relative token stream (what ``verify`` re-hashes and
+    re-folds) and the prefolded mini-index —
     vocabulary, posting lists, string ids and the local containment map
     (merged into per-app structures without re-folding any token or
     re-running the containment regexes).
@@ -218,20 +217,6 @@ def tokens_from_shard(payload: dict) -> tuple[tuple[int, str, str], ...]:
         (int(rel), str(kind), str(text))
         for rel, kind, text in payload["tokens"]
     )
-
-
-def compose_tokens(parts: list[tuple[int, dict]]) -> list[LineToken]:
-    """Rebase shard token streams onto absolute lines, in group order.
-
-    ``parts`` is ``(start_line, shard_payload)`` per manifest group.
-    The result is byte-identical to the original
-    ``disassembly.tokens`` list the shards were split from.
-    """
-    tokens: list[LineToken] = []
-    for start_line, payload in parts:
-        for rel, kind, text in tokens_from_shard(payload):
-            tokens.append(LineToken(start_line + rel, kind, text))
-    return tokens
 
 
 def compose_index(parts: list[tuple[int, dict]]) -> TokenIndex:

@@ -470,30 +470,53 @@ class TestClientEndpointFailover:
             ServiceClient(endpoints=[])
 
 
-class TestThreadedBaselineParity:
-    def test_threaded_server_serves_the_same_api(self, tmp_path):
-        from repro.service import ThreadedAnalysisServer
+class TestRouterTransport:
+    def test_serves_any_router_with_handle(self):
+        # The cluster front end relies on this: the transport only ever
+        # calls handle(method, path, body) and flips ``draining``.
+        class Echo:
+            draining = False
+
+            def handle(self, method, path, body=None):
+                return 200, {"method": method, "path": path}, False
+
+        router = Echo()
+        with AnalysisServer(router=router, port=0) as server:
+            client = ServiceClient(*server.address)
+            assert client.health() == {"method": "GET", "path": "/healthz"}
+            assert server.drain(timeout=1) is True
+            assert router.draining
+
+    def test_needs_exactly_one_of_scheduler_or_router(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            AnalysisServer()
+
+
+class TestProcessColdLaneOverHttp:
+    def test_serve_default_stack_round_trip_and_drain(self, tmp_path):
+        # ``backdroid serve`` defaults to process cold workers behind
+        # the asyncio transport; the same API must hold end to end.
+        import os
 
         config = BackDroidConfig(
-            search_backend="indexed",
-            store_dir=str(tmp_path / "store"),
-            store_mode="full",
+            search_backend="indexed", store_dir=str(tmp_path / "store")
         )
-        outcome = analyze_spec(benchmark_app_spec(0, scale=SCALE), config)
-        assert outcome.ok, outcome.error
-        scheduler = StoreAwareScheduler(config, workers=2, fast_lane_workers=1)
-        with ThreadedAnalysisServer(scheduler, port=0) as server:
+        scheduler = StoreAwareScheduler(
+            config, workers=1, fast_lane_workers=1, cold_executor="process"
+        )
+        with AnalysisServer(scheduler, port=0) as server:
             client = ServiceClient(*server.address)
-            assert client.health() == {"ok": True}
-            job = client.submit({"app": "bench:0", "scale": SCALE})
+            job = client.submit({"app": "bench:1", "scale": SCALE})
+            assert job["lane"] == "main" and job["warm"] is False
             done = client.wait(job["id"], timeout=60)
             assert done["state"] == "done"
-            assert done["result"]["store_hit"] is True
+            assert done["result"]["package"] == "com.bench.app001"
+            assert done["worker_pid"] not in (None, os.getpid())
             stats = client.stats()
-            assert stats["server"]["loop"] == "threaded"
-            assert stats["server"]["event_loop_lag_seconds"] is None
-            # Draining works identically on the baseline stack.
-            drained = server.drain(timeout=30)
-            assert drained is True
+            assert stats["server"]["loop"] == "asyncio"
+            assert stats["lanes"]["main"]["kind"] == "process"
+            assert done["worker_pid"] in stats["cold"]["worker_pids"]
+            assert server.drain(timeout=30) is True
             with pytest.raises(ValueError, match="draining"):
-                client.submit({"app": "bench:1", "scale": SCALE})
+                client.submit({"app": "bench:2", "scale": SCALE})
+            assert client.health() == {"ok": True}

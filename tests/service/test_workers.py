@@ -2,10 +2,14 @@
 
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import BackDroidConfig
 from repro.core.batch import analyze_spec, outcome_payload
 from repro.service.workers import ProcessLane, run_analysis, run_analysis_payload
@@ -143,3 +147,70 @@ class TestProcessLane:
     def test_unknown_start_method_is_rejected(self):
         with pytest.raises(ValueError, match="start method"):
             ProcessLane(workers=1, start_method="teleport")
+
+
+def _process_alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie awaiting its reaper is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # The state field follows the parenthesized command name.
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_LANE_HOST = """
+import threading, time
+from repro.service.workers import ProcessLane
+from repro.workload.corpus import benchmark_app_spec
+lane = ProcessLane(2)
+# One worker stays idle; the other sits in a long fault-injection stall.
+threading.Thread(
+    target=lane.execute,
+    args=("stalled", benchmark_app_spec(0, scale=0.05), None, None, 60.0),
+    daemon=True,
+).start()
+time.sleep(0.5)
+print(" ".join(str(pid) for pid in lane.pids()), flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc"), reason="process states are read from /proc"
+)
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_service_is_sigkilled(self):
+        # A SIGKILLed service runs no shutdown code; its forked workers,
+        # idle or stalled, must notice on their own and exit.
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        host = subprocess.Popen(
+            [sys.executable, "-c", _LANE_HOST],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids = []
+        try:
+            pids = [int(p) for p in host.stdout.readline().split()]
+            assert len(pids) == 2
+            host.kill()
+            host.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                _process_alive(pid) for pid in pids
+            ):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _process_alive(pid)]
+        finally:
+            if host.poll() is None:
+                host.kill()
+                host.wait(timeout=10)
+            host.stdout.close()
+            for pid in pids:  # never leak workers from a failing run
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass

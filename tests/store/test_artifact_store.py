@@ -69,13 +69,6 @@ class TestIndexRoundTrip:
         assert restored.posting_entries == fresh.posting_entries
         assert store.stats.index_hits == 1
 
-    def test_token_stream_round_trip(self, store):
-        apk = build_heyzap()
-        store.save_tokens(apk.disassembly)
-        tokens = store.load_tokens(build_heyzap().disassembly)
-        assert tokens == apk.disassembly.tokens
-        assert store.stats.token_hits == 1
-
     def test_backend_restores_and_reports_zero_build(self, store):
         cold = _fresh_searcher(build_heyzap(), store=store)
         cold.backend.index  # build + save
@@ -129,28 +122,38 @@ class TestInvalidation:
             store.probe(key)
         assert store.stats.corrupt_entries == before
 
-    def test_manifest_version_mismatch_is_a_token_miss(self, store):
+    def test_manifest_version_mismatch_is_a_manifest_miss(self, store):
+        # A foreign-version manifest is never trusted: the load falls to
+        # the disassembly-derived path (here every shard is still on
+        # disk, so nothing is re-folded) and republishes the manifest.
         apk = build_heyzap()
         store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
-        path = store._manifest_path(store_key(apk.disassembly))
+        key = store_key(apk.disassembly)
+        path = store._manifest_path(key)
         payload = json.loads(path.read_text())
         payload["version"] = FORMAT_VERSION + 1
         path.write_text(json.dumps(payload))
 
-        assert store.load_tokens(build_heyzap().disassembly) is None
-        assert store.probe(store_key(apk.disassembly)).level == "none"
+        assert store.probe(key).level == "none"
+        restored = store.load_index(build_heyzap().disassembly)
+        assert restored is not None and not getattr(restored, "lazy", False)
+        assert restored.patched_groups == 0
         assert store.stats.corrupt_entries >= 1
+        assert json.loads(path.read_text())["version"] == FORMAT_VERSION
 
-    def test_manifest_key_mismatch_is_a_token_miss(self, store):
+    def test_manifest_key_mismatch_is_a_manifest_miss(self, store):
         apk = build_heyzap()
         store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
-        path = store._manifest_path(store_key(apk.disassembly))
+        key = store_key(apk.disassembly)
+        path = store._manifest_path(key)
         payload = json.loads(path.read_text())
         payload["key"] = "0" * 64
         path.write_text(json.dumps(payload))
 
-        assert store.load_tokens(build_heyzap().disassembly) is None
+        restored = store.load_index(build_heyzap().disassembly)
+        assert restored is not None and not getattr(restored, "lazy", False)
         assert store.stats.corrupt_entries >= 1
+        assert json.loads(path.read_text())["key"] == key
 
     def test_changed_bytecode_never_hits_old_entry(self, store):
         apk = build_heyzap()
@@ -178,22 +181,22 @@ class TestInvalidation:
         assert third.backend.stats.shards_patched == 0
         assert third.backend.stats.index_build_seconds == 0.0
 
-    def test_truncated_shard_shape_is_patched(self, tmp_path):
-        # Shape truncation is a JSON-container failure mode (the binary
-        # container catches truncation structurally); the legacy writer
-        # must patch it the same way.
-        store = ArtifactStore(tmp_path / "store", shard_format="json")
+    def test_truncated_shard_is_patched(self, store):
+        # A shard cut off mid-section (a torn copy, a full disk) still
+        # stats present, so the restore goes lazy; the section bounds
+        # check catches it on first use and the group heals.
         apk = build_heyzap()
-        store.save_index(apk.disassembly, TokenIndex.for_disassembly(apk.disassembly))
+        fresh = TokenIndex.for_disassembly(apk.disassembly)
+        store.save_index(apk.disassembly, fresh)
         path = _only_shard_path(store, apk.disassembly)
-        payload = json.loads(path.read_text())
-        del payload["postings"]
-        path.write_text(json.dumps(payload))
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         restored = store.load_index(build_heyzap().disassembly)
-        assert restored is not None and restored.patched_groups == 1
-        assert restored.vocab == TokenIndex.for_disassembly(
-            build_heyzap().disassembly
-        ).vocab
+        assert getattr(restored, "lazy", False)
+        full = restored.materialize()
+        assert restored.patched_groups == 1
+        assert full.vocab == fresh.vocab
+        assert full.postings == fresh.postings
+        assert all(entry.ok for entry in store.verify())
 
 
 def _store_config(tmp_path, mode="full", **kwargs):
@@ -353,9 +356,7 @@ class TestProbe:
         key = store_key(apk.disassembly)
         assert store.probe(key).level == "none"
 
-        # Shards carry both the token stream and the mini-index, so the
-        # token save already publishes a fully restorable entry.
-        store.save_tokens(apk.disassembly)
+        store.save_index(apk.disassembly)
         probe = store.probe(key)
         assert probe.level == "index" and probe.warm
         assert probe.shards_total == probe.shards_present >= 1

@@ -5,10 +5,13 @@ restores as a :class:`LazyTokenIndex` that (1) answers every needle
 shape identically to a fresh fold, (2) decodes only the groups a query
 touches — strictly fewer bytes than full materialization, (3) survives
 LRU eviction and re-faults correctly, (4) self-heals corrupt shard
-sections from the live disassembly, and (5) interoperates with legacy
-v2 JSON stores through in-place migration, with ``store verify``
-passing on v2, v3 and mixed stores throughout.
+sections from the live disassembly, and (5) treats v2-era JSON entries
+as stale misses that a rebuild replaces and ``gc`` sweeps.
 """
+
+import json
+import os
+import time
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.search.backends.indexed import TokenIndex, _DESCRIPTOR_RE
 from repro.search.index import BytecodeSearcher
 from repro.store import ArtifactStore, store_key
 from repro.store.lazy import LazyTokenIndex
+from repro.store.sharding import shard_payload
 from repro.workload.generator import AppSpec, LibrarySpec, generate_app
 
 #: Shared library specs: each package prefix becomes its own shard
@@ -81,21 +85,6 @@ class TestLazyRestoreShape:
         assert restored.groups_total >= len(_LIBS)
         assert restored.materialized_groups == 0
         assert store.stats.lazy_restores == 1
-
-    def test_json_store_never_serves_lazy(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", shard_format="json")
-        apk = _build_apk()
-        store.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        restored = store.load_index(_build_apk().disassembly)
-        assert restored is not None
-        assert not getattr(restored, "lazy", False)
-        assert store.stats.lazy_restores == 0
-
-    def test_unknown_shard_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="shard format"):
-            ArtifactStore(tmp_path / "store", shard_format="msgpack")
 
 
 class TestQueryParity:
@@ -173,7 +162,7 @@ class TestSelfHeal:
         )
         # Flip bytes in the middle of one shard file: the header may
         # still parse, but a section CRC cannot.
-        victim = store._shard_path_bin(store._groups(apk.disassembly)[2][1])
+        victim = store._shard_path(store._groups(apk.disassembly)[2][1])
         blob = bytearray(victim.read_bytes())
         mid = len(blob) // 2
         for i in range(mid, mid + 16):
@@ -212,91 +201,125 @@ class TestSelfHeal:
         assert 0 < described["bytes_decoded"] < described["bytes_mapped"]
 
 
-class TestMigration:
-    def _seed_v2(self, root, seed=1):
-        legacy = ArtifactStore(root, shard_format="json")
-        apk = _build_apk(seed)
-        legacy.save_index(
+class TestV2EraStores:
+    """A store last written by a v2-era writer (JSON shards, version-2
+    payloads) is a cache full of misses, not an error."""
+
+    def _write_v2_entry(self, store, disassembly):
+        """Hand-write a v2 manifest plus its JSON shards."""
+        key = store_key(disassembly)
+        groups = store._groups(disassembly)
+        for group, sha in groups:
+            path = store.root / "shards" / sha[:2] / f"{sha}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(shard_payload(group, sha, 2)))
+        manifest = store._manifest(key, groups)
+        manifest["version"] = 2
+        path = store._manifest_path(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(manifest))
+        return key
+
+    def test_v2_entry_reads_as_a_miss(self, store):
+        key = self._write_v2_entry(store, _build_apk().disassembly)
+        assert store.probe(key).level == "none"
+        assert store.load_index(_build_apk().disassembly) is None
+        assert store.stats.index_misses == 1
+
+    def test_verify_reports_v2_entry_stale_not_corrupt(self, store):
+        key = self._write_v2_entry(store, _build_apk().disassembly)
+        (entry,) = store.verify()
+        assert entry.key == key and entry.status == "stale" and entry.ok
+
+    def test_rebuild_then_gc_sweeps_leftover_json_shards(self, store):
+        apk = _build_apk()
+        self._write_v2_entry(store, apk.disassembly)
+        leftovers = list(store.root.glob("shards/*/*.json"))
+        assert leftovers
+        old = time.time() - 7200
+        for path in leftovers:
+            os.utime(path, (old, old))
+        # The rebuild lands at the same content addresses, as binary.
+        store.save_index(
             apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
         )
-        return legacy
-
-    def test_v2_round_trip_through_migration(self, tmp_path):
-        root = tmp_path / "store"
-        legacy = self._seed_v2(root)
-        assert legacy.describe().legacy_json_shards > 0
-
-        store = ArtifactStore(root)
-        result = store.migrate()
-        assert result.shards_migrated > 0 and result.shards_failed == 0
-        inventory = store.describe()
-        assert inventory.legacy_json_shards == 0
-        # Same content addresses: the old manifest still resolves, and
-        # the restored index now rides the lazy path.
-        restored = store.load_index(_build_apk().disassembly)
-        assert isinstance(restored, LazyTokenIndex)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
-        full = restored.materialize()
-        assert full.vocab == fresh.vocab
-        assert full.postings == fresh.postings
-        assert full.containing == fresh.containing
-        assert all(entry.ok for entry in store.verify())
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        root = tmp_path / "store"
-        self._seed_v2(root)
-        store = ArtifactStore(root)
-        first = store.migrate()
-        second = store.migrate()
-        assert first.shards_migrated > 0
-        assert second.shards_migrated == 0 and second.shards_failed == 0
-
-    def test_gc_migrates_surviving_legacy_shards(self, tmp_path):
-        root = tmp_path / "store"
-        self._seed_v2(root)
-        store = ArtifactStore(root)
-        result = store.gc(max_age_seconds=3600.0)  # nothing is old yet
+        assert isinstance(
+            store.load_index(_build_apk().disassembly), LazyTokenIndex
+        )
+        result = store.gc(max_age_seconds=3600.0)
         assert result.entries_removed == 0
-        assert result.shards_migrated > 0
-        assert store.describe().legacy_json_shards == 0
+        assert result.shards_removed == len(leftovers)
+        assert not list(store.root.glob("shards/*/*.json"))
+        assert all(entry.status == "ok" for entry in store.verify())
 
-    def test_verify_passes_on_v2_v3_and_mixed_stores(self, tmp_path):
-        # v2-only store.
-        v2_root = tmp_path / "v2"
-        self._seed_v2(v2_root)
-        assert all(e.ok for e in ArtifactStore(v2_root).verify())
-        # Mixed store: a second app published binary alongside.
-        mixed = ArtifactStore(v2_root)
+    def test_gc_age_gate_keeps_young_json_shards(self, store):
+        # The .json sweep obeys the same age gate as every other shard.
+        self._write_v2_entry(store, _build_apk().disassembly)
+        leftovers = sorted(store.root.glob("shards/*/*.json"))
+        assert leftovers
+        result = store.gc(max_age_seconds=3600.0)
+        assert result.shards_removed == 0
+        assert sorted(store.root.glob("shards/*/*.json")) == leftovers
+
+    def test_verify_passes_on_mixed_v2_era_and_v3_store(self, store):
+        stale_key = self._write_v2_entry(store, _build_apk().disassembly)
         other = generate_app(
             AppSpec(package="com.mixed.app", seed=7, libraries=_LIBS[:2])
         ).apk
-        mixed.save_index(
+        store.save_index(
             other.disassembly, TokenIndex.for_disassembly(other.disassembly)
         )
-        inventory = mixed.describe()
-        assert 0 < inventory.legacy_json_shards < inventory.shards
-        assert all(e.ok for e in mixed.verify())
-        # v3-only store.
-        v3 = ArtifactStore(tmp_path / "v3")
-        apk = _build_apk()
-        v3.save_index(
-            apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
-        )
-        assert all(e.ok for e in v3.verify())
+        live_key = store_key(other.disassembly)
+        statuses = {entry.key: entry.status for entry in store.verify()}
+        assert statuses == {stale_key: "stale", live_key: "ok"}
+        assert all(entry.ok for entry in store.verify())
 
-    def test_mixed_entry_restores_eagerly_not_lazily(self, tmp_path):
-        # An entry with any legacy-JSON group falls back to the eager
-        # composed restore — correct, just not zero-copy.
-        root = tmp_path / "store"
-        self._seed_v2(root)
-        store = ArtifactStore(root)
-        sha = store._groups(_build_apk().disassembly)[0][1]
-        store._migrate_shard(store._shard_path_json(sha))
+    def test_json_shard_is_never_read_for_a_v3_manifest(self, store):
+        # A v3 manifest whose group survives only as a v2-era .json
+        # shard: the restore cannot go lazy, and the slow path re-folds
+        # that group from the disassembly instead of reading the JSON.
+        apk = _build_apk()
+        fresh = TokenIndex.for_disassembly(apk.disassembly)
+        store.save_index(apk.disassembly, fresh)
+        sha = store._groups(apk.disassembly)[0][1]
+        group = store._groups(apk.disassembly)[0][0]
+        store._shard_path(sha).unlink()
+        json_path = store.root / "shards" / sha[:2] / f"{sha}.json"
+        json_path.write_text(json.dumps(shard_payload(group, sha, 2)))
+
         restored = store.load_index(_build_apk().disassembly)
         assert restored is not None
         assert not getattr(restored, "lazy", False)
-        fresh = TokenIndex.for_disassembly(_build_apk().disassembly)
+        assert restored.patched_groups == 1
         assert restored.vocab == fresh.vocab
+        assert restored.postings == fresh.postings
+        assert store._shard_path(sha).is_file()
+        # The repaired entry is whole again: the next restore is lazy.
+        assert isinstance(
+            store.load_index(_build_apk().disassembly), LazyTokenIndex
+        )
+
+    def test_v2_outcome_and_specmap_entries_read_as_misses(self, store):
+        apk = _build_apk()
+        key = store_key(apk.disassembly)
+        store.save_outcome(apk.disassembly, "cfg", {"verdict": "clean"})
+        store.save_spec_key("ab" * 32, key)
+        for path in (store._outcome_path(key, "cfg"),
+                     store._spec_path("ab" * 32)):
+            payload = json.loads(path.read_text())
+            payload["version"] = 2
+            path.write_text(json.dumps(payload))
+
+        assert store.load_outcome(apk.disassembly, "cfg") is None
+        assert store.stats.outcome_misses == 1
+        assert store.load_spec_key("ab" * 32) is None
+        # The next write replaces each stale entry in the current format.
+        store.save_outcome(apk.disassembly, "cfg", {"verdict": "clean"})
+        store.save_spec_key("ab" * 32, key)
+        assert store.load_outcome(apk.disassembly, "cfg") == {
+            "verdict": "clean"
+        }
+        assert store.load_spec_key("ab" * 32) == key
 
 
 class TestProbeNeverParses:
@@ -309,7 +332,7 @@ class TestProbeNeverParses:
         store.save_index(
             apk.disassembly, TokenIndex.for_disassembly(apk.disassembly)
         )
-        victim = store._shard_path_bin(store._groups(apk.disassembly)[0][1])
+        victim = store._shard_path(store._groups(apk.disassembly)[0][1])
         victim.write_bytes(b"\x00" * victim.stat().st_size)
         probe = store.probe(key)
         assert probe.level == "index"

@@ -138,7 +138,7 @@ class TestCrossAppDedup:
         writes_before = store.stats.writes
         shared_before = store.stats.shards_shared
         rebuilt = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_tokens(rebuilt)
+        store.save_index(rebuilt)
         assert store.stats.shards_shared - shared_before == \
             len(store._groups(rebuilt))
         # Only the manifest was rewritten.
@@ -247,12 +247,6 @@ class TestComposeParity:
             assert restored is not None and restored.restored
             assert restored.build_seconds == 0.0
             self._parity(restored, TokenIndex.for_disassembly(disassembly))
-
-    def test_composed_tokens_match_fresh_render(self, store):
-        disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
-        store.save_tokens(disassembly)
-        rebuilt = generate_app(_app("com.alpha", 1)).apk.disassembly
-        assert store.load_tokens(rebuilt) == disassembly.tokens
 
     def test_patched_composition_is_still_byte_identical(self, store):
         disassembly = generate_app(_app("com.alpha", 1)).apk.disassembly
